@@ -10,11 +10,6 @@
 //!   fabric contended — the macro regime of ROADMAP item 4.
 //! * `a100_steady`: a single DGX-A100 box under a lighter steady trace.
 //!
-//! Each case also runs on the *boxed-closure* event core (the scheduler's
-//! `force_boxed_dispatch` compatibility mode: every event heap-boxed into a
-//! `BinaryHeap`, exactly the pre-typed-event engine) so the dispatch-layer
-//! speedup is a same-run paired ratio, immune to machine differences.
-//!
 //! For every case an `E2E_JSON` line reports the per-run work (data
 //! operations issued, events fired, simulated nanoseconds) so
 //! `scripts/bench_smoke.sh` can turn Criterion's median run time into the
@@ -92,20 +87,13 @@ fn arrivals(bed: &Testbed) -> Vec<(Arc<WorkflowSpec>, grouter::sim::time::SimTim
 }
 
 /// One full trace run; returns the number of completed workflows.
-fn trace_run(
-    bed: &Testbed,
-    trace: &[(Arc<WorkflowSpec>, grouter::sim::time::SimTime)],
-    boxed: bool,
-) -> u64 {
+fn trace_run(bed: &Testbed, trace: &[(Arc<WorkflowSpec>, grouter::sim::time::SimTime)]) -> u64 {
     let mut rt = Runtime::new(
         (bed.topo)(),
         bed.nodes,
         Box::new(GrouterPlane::new(GrouterConfig::full())),
         RuntimeConfig::default(),
     );
-    if boxed {
-        rt.force_boxed_dispatch();
-    }
     for (spec, t) in trace {
         rt.submit(spec.clone(), *t);
     }
@@ -144,10 +132,7 @@ fn bench_e2e(c: &mut Criterion) {
             );
         }
         c.bench_function(&format!("e2e/{}", bed.name), |b| {
-            b.iter(|| black_box(trace_run(bed, &trace, false)))
-        });
-        c.bench_function(&format!("e2e_boxed/{}", bed.name), |b| {
-            b.iter(|| black_box(trace_run(bed, &trace, true)))
+            b.iter(|| black_box(trace_run(bed, &trace)))
         });
     }
 }

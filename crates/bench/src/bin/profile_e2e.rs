@@ -55,7 +55,6 @@ fn main() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(2);
-    let boxed = std::env::var("PROFILE_BOXED").is_ok_and(|v| v == "1");
     // Warm one run, then measure the rest.
     for round in 0..rounds {
         let mut rt = Runtime::new(
@@ -64,9 +63,6 @@ fn main() {
             Box::new(GrouterPlane::new(GrouterConfig::full())),
             RuntimeConfig::default(),
         );
-        if boxed {
-            rt.force_boxed_dispatch();
-        }
         for (spec, t) in &trace {
             rt.submit(spec.clone(), *t);
         }

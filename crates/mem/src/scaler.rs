@@ -13,6 +13,7 @@
 //! (`MemPool_size = Σ Data_size · 1{window overlaps now}`), floored at the
 //! minimum pool.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use grouter_sim::params;
@@ -65,7 +66,13 @@ impl FuncStats {
 /// Per-GPU pre-warm estimator across all functions that store data there.
 #[derive(Debug, Default)]
 pub struct PrewarmScaler {
-    funcs: BTreeMap<u64, FuncStats>,
+    /// Functions with a `last_request` — the only ones that can be active,
+    /// so `target_bytes` walks this map alone.
+    requested: BTreeMap<u64, FuncStats>,
+    /// Functions that produced outputs but never saw a request. The LLM
+    /// path keys outputs per request, so this map grows with requests
+    /// served and must stay off the `target_bytes` walk.
+    unrequested: BTreeMap<u64, FuncStats>,
 }
 
 impl PrewarmScaler {
@@ -74,12 +81,22 @@ impl PrewarmScaler {
     }
 
     fn entry(&mut self, func: u64) -> &mut FuncStats {
-        self.funcs.entry(func).or_insert_with(FuncStats::new)
+        match self.requested.get_mut(&func) {
+            Some(stats) => stats,
+            None => self.unrequested.entry(func).or_insert_with(FuncStats::new),
+        }
     }
 
     /// Record a request arrival for `func` (feeds `R_window`).
     pub fn on_request(&mut self, func: u64, now: SimTime) {
-        let stats = self.entry(func);
+        let stats = match self.requested.entry(func) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => e.insert(
+                self.unrequested
+                    .remove(&func)
+                    .unwrap_or_else(FuncStats::new),
+            ),
+        };
         if let Some(last) = stats.last_request {
             stats.interval_s.record((now - last.min(now)).as_secs_f64());
         }
@@ -106,7 +123,7 @@ impl PrewarmScaler {
     /// `max(Σ_active R_size·R_con, MIN_POOL_BYTES)`.
     pub fn target_bytes(&mut self, now: SimTime) -> f64 {
         let mut demand = 0.0;
-        for s in self.funcs.values_mut() {
+        for s in self.requested.values_mut() {
             if s.active_at(now) {
                 demand += s.reservation();
             }
@@ -123,7 +140,10 @@ impl PrewarmScaler {
 
     /// Reservation window for one function, if known (testing/diagnostics).
     pub fn window_secs(&mut self, func: u64) -> Option<f64> {
-        self.funcs.get_mut(&func).map(|s| s.window_s())
+        self.requested
+            .get_mut(&func)
+            .or_else(|| self.unrequested.get_mut(&func))
+            .map(|s| s.window_s())
     }
 
     /// Outstanding (produced but unconsumed) outputs currently counted for
@@ -131,13 +151,20 @@ impl PrewarmScaler {
     /// balanced by an `on_consumed`, or the concurrency p99 ratchets up and
     /// the pre-warm target over-reserves.
     pub fn live_outputs(&self, func: u64) -> u32 {
-        self.funcs.get(&func).map(|s| s.live_outputs).unwrap_or(0)
+        self.requested
+            .get(&func)
+            .or_else(|| self.unrequested.get(&func))
+            .map_or(0, |s| s.live_outputs)
     }
 
     /// Total outstanding outputs across every tracked function — the leak
     /// indicator chaos tests assert drains to zero.
     pub fn total_live_outputs(&self) -> u64 {
-        self.funcs.values().map(|s| s.live_outputs as u64).sum()
+        self.requested
+            .values()
+            .chain(self.unrequested.values())
+            .map(|s| s.live_outputs as u64)
+            .sum()
     }
 
     /// Drop every reservation this GPU's scaler holds: the GPU failed, its
@@ -145,16 +172,17 @@ impl PrewarmScaler {
     /// the pre-warm target of the (empty) pool when the GPU rejoins. The
     /// scaler restarts with no history, exactly as at boot.
     pub fn quarantine(&mut self) {
-        self.funcs.clear();
+        self.requested.clear();
+        self.unrequested.clear();
     }
 
     /// Number of tracked functions.
     pub fn len(&self) -> usize {
-        self.funcs.len()
+        self.requested.len() + self.unrequested.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.funcs.is_empty()
+        self.len() == 0
     }
 }
 
@@ -257,5 +285,93 @@ mod tests {
         }
         let w = s.window_secs(9).unwrap();
         assert!((w - 0.25).abs() < 1e-9, "window {w}");
+    }
+
+    /// Reference model: every function in one map, the target a
+    /// key-ordered walk over all of them.
+    #[derive(Default)]
+    struct FullScan(BTreeMap<u64, FuncStats>);
+
+    impl FullScan {
+        fn stats(&mut self, func: u64) -> &mut FuncStats {
+            self.0.entry(func).or_insert_with(FuncStats::new)
+        }
+
+        fn on_request(&mut self, func: u64, now: SimTime) {
+            let stats = self.stats(func);
+            if let Some(last) = stats.last_request {
+                stats.interval_s.record((now - last.min(now)).as_secs_f64());
+            }
+            stats.last_request = Some(now);
+        }
+
+        fn on_output(&mut self, func: u64, bytes: f64) {
+            let stats = self.stats(func);
+            stats.size_bytes.record(bytes);
+            stats.live_outputs += 1;
+            stats.concurrency.record(stats.live_outputs as f64);
+        }
+
+        fn target(&mut self, now: SimTime) -> f64 {
+            let mut demand = 0.0;
+            for f in self.0.values_mut() {
+                if f.active_at(now) {
+                    demand += f.reservation();
+                }
+            }
+            demand.max(params::MIN_POOL_BYTES)
+        }
+    }
+
+    #[test]
+    fn requested_only_target_equals_full_scan() {
+        // Functions 0..8 see requests (some only after their first
+        // outputs); 100.. only produce and consume outputs, like per-request
+        // KV keys. The target must match the single-map walk to the bit at
+        // every step, across a quarantine.
+        let mut rng = grouter_sim::rng::DetRng::new(0x5CA1E);
+        let mut s = PrewarmScaler::new();
+        let mut reference = FullScan::default();
+        let mut t = SimTime::ZERO;
+        let mut above_floor = 0;
+        for step in 0..3_000 {
+            t += SimDuration::from_millis(rng.next_below(40));
+            let func = if rng.next_below(2) == 0 {
+                rng.next_below(8)
+            } else {
+                100 + rng.next_below(400)
+            };
+            match rng.next_below(3) {
+                0 if func < 8 => {
+                    s.on_request(func, t);
+                    reference.on_request(func, t);
+                }
+                0 | 1 => {
+                    let bytes = rng.uniform(1.0, 500.0) * MB;
+                    s.on_output(func, bytes);
+                    reference.on_output(func, bytes);
+                }
+                _ => {
+                    s.on_consumed(func);
+                    let stats = reference.stats(func);
+                    stats.live_outputs = stats.live_outputs.saturating_sub(1);
+                }
+            }
+            if step == 1_500 {
+                s.quarantine();
+                reference = FullScan::default();
+            }
+            let want = reference.target(t);
+            above_floor += usize::from(want > params::MIN_POOL_BYTES);
+            assert_eq!(s.target_bytes(t).to_bits(), want.to_bits(), "step {step}");
+        }
+        assert!(
+            !s.unrequested.is_empty(),
+            "script never mixed the two kinds"
+        );
+        assert!(
+            above_floor > 1_000,
+            "only {above_floor} steps above the floor"
+        );
     }
 }

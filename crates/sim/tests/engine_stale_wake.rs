@@ -5,7 +5,9 @@
 //! duplicate wake for the same flow generation — must never harvest the
 //! same flow twice or harvest it at a superseded completion time.
 
-use grouter_sim::{EventWorld, FlowId, FlowNet, FlowOptions, Scheduler, SimTime, Simulation};
+use grouter_sim::{
+    EventWorld, FlowId, FlowNet, FlowOptions, LinkId, Scheduler, SimTime, Simulation,
+};
 
 const GB: f64 = 1e9;
 
@@ -17,21 +19,35 @@ struct World {
     stale_wakes_dropped: usize,
 }
 
-/// The wake is a typed event, exactly as in the runtime's event enum; the
-/// version stamp rides in the event value.
-struct NetWake {
-    version: u64,
+enum Ev {
+    /// The wake, exactly as in the runtime's event enum; the version stamp
+    /// rides in the event value.
+    NetWake { version: u64 },
+    /// Start a 1 GB flow on the link, then rearm the wake.
+    StartFlow(LinkId),
+    /// Cancel the flow, then rearm the wake.
+    CancelFlow(FlowId),
 }
 
 impl EventWorld for World {
-    type Event = NetWake;
-    fn dispatch(&mut self, s: &mut Scheduler<Self>, ev: NetWake) {
-        if self.net.version() != ev.version {
-            self.stale_wakes_dropped += 1;
-            return;
+    type Event = Ev;
+    fn dispatch(&mut self, s: &mut Scheduler<Self>, ev: Ev) {
+        match ev {
+            Ev::NetWake { version } => {
+                if self.net.version() != version {
+                    self.stale_wakes_dropped += 1;
+                    return;
+                }
+                let done = self.net.advance_to(s.now());
+                self.completed.extend(done);
+            }
+            Ev::StartFlow(link) => {
+                self.net
+                    .start_flow(s.now(), vec![link], GB, FlowOptions::default())
+                    .unwrap();
+            }
+            Ev::CancelFlow(flow) => self.net.cancel_flow(s.now(), flow).unwrap(),
         }
-        let done = self.net.advance_to(s.now());
-        self.completed.extend(done);
         schedule_net_wake(self, s);
     }
 }
@@ -43,7 +59,7 @@ fn schedule_net_wake(w: &mut World, s: &mut Scheduler<World>) {
         return;
     };
     let version = w.net.version();
-    s.schedule_at(at, NetWake { version });
+    s.schedule_at(at, Ev::NetWake { version });
 }
 
 #[test]
@@ -66,12 +82,8 @@ fn stale_wake_does_not_double_complete() {
     // At t = 50 ms a second flow arrives on the same link: rates halve,
     // A's completion moves to 150 ms and the version bumps, so the wake
     // already queued for 100 ms is stale. The handler re-arms a fresh one.
-    sim.sched.schedule_boxed(SimTime(50_000_000), |w, s| {
-        w.net
-            .start_flow(s.now(), vec![w.link_of_b()], GB, FlowOptions::default())
-            .unwrap();
-        schedule_net_wake(w, s);
-    });
+    sim.sched
+        .schedule_at(SimTime(50_000_000), Ev::StartFlow(link));
 
     sim.run();
 
@@ -97,12 +109,6 @@ fn stale_wake_does_not_double_complete() {
         "now {}",
         sim.now()
     );
-}
-
-impl World {
-    fn link_of_b(&self) -> grouter_sim::LinkId {
-        grouter_sim::LinkId(0)
-    }
 }
 
 #[test]
@@ -149,10 +155,8 @@ fn wake_after_cancel_is_dropped() {
         .start_flow(SimTime::ZERO, vec![link], GB, FlowOptions::default())
         .unwrap();
     schedule_net_wake(&mut sim.world, &mut sim.sched);
-    sim.sched.schedule_boxed(SimTime(10_000_000), move |w, s| {
-        w.net.cancel_flow(s.now(), f).unwrap();
-        schedule_net_wake(w, s);
-    });
+    sim.sched
+        .schedule_at(SimTime(10_000_000), Ev::CancelFlow(f));
 
     sim.run();
 

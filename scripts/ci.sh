@@ -35,6 +35,13 @@ echo "==> tier-1 tests, audited (cargo build --release && cargo test -q)"
 cargo build --release
 cargo test -q
 
+echo "==> perfbench tests (decorator transparency, thread invariance, metric names)"
+# perfbench/ is a standalone package (its own workspace and Cargo.lock), so
+# the workspace test run above does not reach it. Its tests pin that the
+# per-layer decorators change no digest, that two workers give the same
+# digest as one, and that BENCHMARK.json names exactly the printed metrics.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> chaos smoke (fixed-seed fault injection over the GROUTER plane)"
 # Bounded and deterministic: the suite sweeps a fixed seed batch of
 # randomized fault plans (GPU/NIC/link failures) and asserts termination,

@@ -57,15 +57,7 @@ const OBS_SINKS_ANY: [&str; 3] = ["instant", "instant_at", "sample"];
 /// receiver (`rec`/`obs`/`recorder`).
 const OBS_SINKS_RECV: [&str; 3] = ["begin", "end", "count"];
 const OBS_RECEIVERS: [&str; 3] = ["rec", "obs", "recorder"];
-const SCHEDULE_SINKS: [&str; 7] = [
-    "schedule",
-    "schedule_at",
-    "schedule_in",
-    "schedule_now",
-    "schedule_boxed",
-    "schedule_boxed_in",
-    "schedule_boxed_now",
-];
+const SCHEDULE_SINKS: [&str; 4] = ["schedule", "schedule_at", "schedule_in", "schedule_now"];
 const PANIC_MACROS: [&str; 7] = [
     "panic",
     "unreachable",
